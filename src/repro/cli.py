@@ -294,7 +294,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 # ----------------------------------------------------------------------
+def _usage_error(message: str) -> int:
+    """Report a bad invocation as one line on stderr; exit code 2."""
+    print(f"repro: error: {message}", file=sys.stderr)
+    return 2
+
+
+def _bad_sizes(args) -> Optional[str]:
+    """Why ``--nodes``/``--jobs`` cannot describe a system, if they can't."""
+    for flag in ("nodes", "jobs"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            return f"--{flag} must be >= 1, got {value}"
+    return None
+
+
 def _cmd_generate(args) -> int:
+    bad = _bad_sizes(args)
+    if bad:
+        return _usage_error(bad)
     if args.kind == "grizzly":
         wl = grizzly_workload(
             overestimation=args.overestimation,
@@ -323,6 +341,9 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    bad = _bad_sizes(args)
+    if bad:
+        return _usage_error(bad)
     if args.workload:
         wl = load_workload(args.workload)
         jobs = wl.fresh_jobs()
@@ -386,6 +407,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_whatif(args) -> int:
     from .whatif import AddMemNodes, SubmitJob, SwapPolicy, WhatIf
 
+    bad = _bad_sizes(args)
+    if bad:
+        return _usage_error(bad)
+    if args.at < 0:
+        return _usage_error(f"--at must be >= 0, got {args.at:g}")
     if args.workload:
         wl = load_workload(args.workload)
         jobs = wl.fresh_jobs()
@@ -426,6 +452,11 @@ def _cmd_whatif(args) -> int:
     session = WhatIf(
         jobs, config, policy=args.policy, at=args.at, profiles=profiles,
     )
+    end = session.base_report.result.makespan
+    if args.at > end:
+        return _usage_error(
+            f"--at {args.at:g} is beyond the base run's end at {end:g}s; "
+            "nothing is left to perturb")
     report = session.query(perturbation)
     console.result(report.render())
     stats = session.stats()

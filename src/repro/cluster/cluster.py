@@ -531,28 +531,6 @@ class Cluster:
             if not self.busy[node]:
                 self.startable_count += -1 if is_mem else 1
 
-    def _set_busy(self, node: int, jid: int) -> None:
-        if self._cow is not None:
-            self._cow.touch(node)
-        self.busy[node] = True
-        self.job_on_node[node] = jid
-        self.busy_count += 1
-        if self.is_large[node]:
-            self.busy_large_count += 1
-        if not self._memnode[node]:
-            self.startable_count -= 1
-
-    def _set_idle(self, node: int) -> None:
-        if self._cow is not None:
-            self._cow.touch(node)
-        self.busy[node] = False
-        self.job_on_node[node] = -1
-        self.busy_count -= 1
-        if self.is_large[node]:
-            self.busy_large_count -= 1
-        if not self._memnode[node]:
-            self.startable_count += 1
-
     # ------------------------------------------------------------------
     # Whole-allocation apply / release
     # ------------------------------------------------------------------
@@ -723,6 +701,39 @@ class Cluster:
         self._touch_local(node, -mb)
         alloc.local_mb[node] = have - mb
         alloc._bump_local(-mb)
+        self._notify_job_demand(jid, alloc)
+
+    def resize_local_many(self, jid: int, nodes: np.ndarray, deltas: np.ndarray,
+        alloc: Optional[JobAllocation] = None) -> None:
+        """Bulk :meth:`grow_local`/:meth:`shrink_local` on several of job
+        ``jid``'s nodes at once.
+
+        ``nodes`` must be unique compute nodes of the job and ``deltas``
+        non-zero signed MB: positive grows must fit the node's free DRAM,
+        negative shrinks the job's local memory there.  Ledger, log and
+        allocation effects equal the per-node calls in ``nodes`` order.
+        """
+        if alloc is None:
+            alloc = self.allocations.get(jid)
+            if alloc is None:
+                raise AllocationError(f"job {jid} is not allocated")
+        node_list = nodes.tolist()
+        local = alloc.local_mb
+        held = [local.get(node, 0) for node in node_list]
+        bad = (
+            (deltas == 0)
+            | (-deltas > np.asarray(held, dtype=np.int64))
+            | (deltas > self._free_local[nodes])
+        )
+        if bad.any() or not all(map(alloc.has_node, node_list)):
+            raise AllocationError(
+                f"resize_local_many {dict(zip(node_list, deltas.tolist()))} "
+                f"invalid for job {jid} (holds {dict(zip(node_list, held))})"
+            )
+        self._touch_local_many(nodes, deltas)
+        for node, delta, have in zip(node_list, deltas.tolist(), held):
+            local[node] = have + delta
+        alloc._bump_local(int(deltas.sum()))
         self._notify_job_demand(jid, alloc)
 
     def add_remote(self, jid: int, node: int, lender: int, mb: int,

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import os
-from typing import Dict, Iterable
+from typing import Dict
 
 import numpy as np
 
@@ -246,18 +246,7 @@ class ColumnPageStore:
                 self._copy_page(p)
             self._dirty[p] = True
 
-    def touch_all(self) -> None:
-        """Preserve every page (whole-array writes, e.g. ``restore``)."""
-        for p in range(self.n_pages):
-            if not self._dirty[p]:
-                if p not in self._pages:
-                    self._copy_page(p)
-                self._dirty[p] = True
-
     # -- restore -------------------------------------------------------
-    def dirty_pages(self) -> Iterable[int]:
-        return [int(p) for p in np.flatnonzero(self._dirty)]
-
     def rollback(self) -> int:
         """Restore all pages dirtied since capture/last rollback.
 

@@ -33,7 +33,7 @@ class UsageTrace:
             raise TraceError("times and mem_mb must be equal-length 1-D, non-empty")
         if t[0] != 0.0:
             raise TraceError(f"trace must start at progress 0, got {t[0]}")
-        if (np.diff(t) <= 0).any():
+        if (t[1:] <= t[:-1]).any():
             raise TraceError("trace times must be strictly increasing")
         if (m < 0).any():
             raise TraceError("memory usage cannot be negative")
@@ -72,6 +72,21 @@ class UsageTrace:
         i0 = max(int(np.searchsorted(self.times, p0, side="right")) - 1, 0)
         i1 = max(int(np.searchsorted(self.times, p1, side="right")) - 1, i0)
         return int(self.mem_mb[i0 : i1 + 1].max())
+
+    def usage_at_many(self, ps) -> np.ndarray:
+        """Vectorised :meth:`usage_at` over an array of progress points."""
+        idx = np.searchsorted(self.times, ps, side="right") - 1
+        return self.mem_mb[np.maximum(idx, 0)]
+
+    def max_in_many(self, p0s, p1s) -> np.ndarray:
+        """Vectorised :meth:`max_in` over windows ``[p0s[k], p1s[k]]``."""
+        p0s = np.asarray(p0s, dtype=np.float64)
+        p1s = np.asarray(p1s, dtype=np.float64)
+        if (p1s < p0s).any():
+            raise TraceError("empty window in max_in_many")
+        i0 = np.maximum(np.searchsorted(self.times, p0s, side="right") - 1, 0)
+        i1 = np.maximum(np.searchsorted(self.times, p1s, side="right") - 1, i0)
+        return range_max(np.append(self.mem_mb, 0), i0, i1)
 
     def peak(self) -> int:
         """Maximum usage over the whole job."""
@@ -132,3 +147,72 @@ class UsageTrace:
             f"UsageTrace({len(self.times)} points, peak={self.peak()}MB, "
             f"span={self.times[-1]:.0f}s)"
         )
+
+
+def range_max(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Exact ``values[lo[k] : hi[k] + 1].max()`` for every ``k``.
+
+    One ``np.maximum.reduceat`` over interleaved ``[lo, hi + 1)`` bounds;
+    ``values`` must carry one trailing pad element so that ``hi + 1`` is
+    a valid index.  Requires ``lo <= hi`` element-wise.
+    """
+    bounds = np.empty(2 * len(lo), dtype=np.int64)
+    bounds[0::2] = lo
+    bounds[1::2] = hi + 1
+    return np.maximum.reduceat(values, bounds)[0::2]
+
+
+class PackedUsage:
+    """Usage curves (at least one) packed CSR-style for one query per
+    update tick.
+
+    ``times``/``mem_mb`` concatenate the curves; curve ``k`` occupies
+    ``[starts[k], ends[k])``.  Each curve is lifted onto its own band of
+    the time axis (``k * band``) so one ``searchsorted`` locates every
+    query; the located index is then corrected in the curve's own
+    coordinates, so ties at breakpoints resolve exactly as
+    :meth:`UsageTrace.usage_at` / :meth:`UsageTrace.max_in` do.
+    """
+
+    __slots__ = ("times", "mem_mb", "starts", "ends", "last", "_lifted",
+                 "_base")
+
+    def __init__(self, traces: Sequence[UsageTrace]):
+        lengths = np.fromiter((len(t.times) for t in traces), np.int64,
+                              len(traces))
+        self.ends = np.cumsum(lengths)
+        self.starts = self.ends - lengths
+        self.times = np.concatenate([t.times for t in traces])
+        # one trailing pad element for range_max
+        self.mem_mb = np.concatenate([t.mem_mb for t in traces]
+                                     + [np.zeros(1, np.int64)])
+        self.last = self.times[self.ends - 1]
+        band = float(np.ceil(self.last.max())) + 1.0
+        self._base = np.arange(len(lengths), dtype=np.float64) * band
+        self._lifted = self.times + np.repeat(self._base, lengths)
+
+    def _locate(self, ps: np.ndarray) -> np.ndarray:
+        """Per curve ``k``: index of the segment holding progress ``ps[k]``."""
+        # Clamping to the curve's span keeps every query inside its band
+        # without changing the segment it falls in.
+        q = np.minimum(np.maximum(ps, 0.0), self.last)
+        idx = np.searchsorted(self._lifted, q + self._base, side="right") - 1
+        idx = np.minimum(np.maximum(idx, self.starts), self.ends - 1)
+        # Rounding in the lift can only move a breakpoint onto the query
+        # (never past it), so the candidate is at or after the true
+        # segment; step back while the breakpoint lies beyond the query.
+        while True:
+            over = (idx > self.starts) & (self.times[idx] > q)
+            if not over.any():
+                return idx
+            idx -= over
+
+    def usage_at(self, ps: np.ndarray) -> np.ndarray:
+        """Each curve k's ``usage_at(ps[k])``."""
+        return self.mem_mb[self._locate(ps)]
+
+    def max_in(self, p0s: np.ndarray, p1s: np.ndarray) -> np.ndarray:
+        """Each curve k's ``max_in(p0s[k], p1s[k])``."""
+        i0 = self._locate(p0s)
+        i1 = np.maximum(self._locate(p1s), i0)
+        return range_max(self.mem_mb, i0, i1)

@@ -167,7 +167,3 @@ def series_of(registry: MetricsRegistry, name: str) -> Tuple[List[float], List[f
             values.append(v)
     return times, values
 
-
-def series_names(registry: MetricsRegistry) -> List[str]:
-    """Sorted names appearing in the sampled series."""
-    return sorted({n for _, n, _ in registry.series})

@@ -175,7 +175,7 @@ class Telemetry:
         return self.tracer.span(name, sim_t, jid, detail)
 
     def phase(self, name: str):
-        """Accumulate one (per-job) phase timing into the current tick."""
+        """Accumulate one phase timing into the current tick."""
         if self.tracer is None:
             return _NULL_CONTEXT
         return _PhaseTimer(self._phase_acc, name)

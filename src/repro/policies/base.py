@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from ..cluster.allocation import JobAllocation
 from ..cluster.cluster import Cluster
@@ -67,6 +67,14 @@ class AllocationPolicy(ABC):
     def update(self, job: Job, progress: float, window: float) -> UpdateOutcome:
         """Dynamic-policy hook; static policies never resize."""
         return UpdateOutcome()
+
+    def update_tick(
+        self, jobs: Sequence[Job], progresses: Sequence[float],
+        windows: Sequence[float],
+    ) -> Iterator[Tuple[Job, UpdateOutcome]]:
+        """Batched :meth:`update` over one tick's running jobs; yields
+        ``(job, outcome)`` per resized job.  Static policies never resize."""
+        return iter(())
 
     def on_finish(self, job: Job) -> None:
         """Hook for per-job policy state cleanup."""

@@ -30,7 +30,11 @@ class BaselinePolicy(AllocationPolicy):
 
     def plan(self, job: Job) -> Optional[JobAllocation]:
         c = self.cluster
-        candidates = (~c.busy) & (c.capacity_mb >= job.mem_request_mb)
+        # An idle node still lending memory to a running disaggregated job
+        # (after a mid-run policy swap) cannot give its whole DRAM away.
+        candidates = (
+            (~c.busy) & (c.lent_mb == 0) & (c.capacity_mb >= job.mem_request_mb)
+        )
         idx = np.flatnonzero(candidates)
         if len(idx) < job.n_nodes:
             return None

@@ -21,7 +21,7 @@ resized.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from ..cluster.allocation import JobAllocation
 from ..cluster.cluster import Cluster
 from ..core.rng import ensure_rng
 from ..jobs.job import Job
+from ..jobs.usage import PackedUsage
 from .base import UpdateOutcome
 from .static import StaticDisaggregatedPolicy
 
@@ -82,6 +83,9 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
         #: per-job rank-scale vector aligned with ``alloc.nodes`` (a
         #: job's node_scale never changes, so this is computed once)
         self._rank_scale_cache: Dict[int, Optional[np.ndarray]] = {}
+        #: batch geometry of the last tick's running set (a memo keyed on
+        #: allocation identity, so forks need not capture it)
+        self._layout: Optional[_TickLayout] = None
 
     # ------------------------------------------------------------------
     def _request_of(self, job: Job) -> int:
@@ -129,57 +133,101 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
 
     # ------------------------------------------------------------------
     def update(self, job: Job, progress: float, window: float) -> UpdateOutcome:
-        """One Monitor → Decider → Actuator step for a running job.
+        """One Monitor → Decider → Actuator step for one running job: a
+        batch of one through :meth:`update_tick`."""
+        outs = [out for _, out in self.update_tick([job], [progress], [window])]
+        return outs[0] if outs else UpdateOutcome()
 
-        ``progress`` is the job's current work position and ``window`` the
-        progress span until the next update; the enforced demand is the
-        maximum usage in that span (paper §2.3).  Each phase runs under
-        ``self.obs.phase(...)`` so an observed run gets per-phase wall
-        times; with telemetry disabled the wrappers are shared no-ops.
+    def update_tick(
+        self, jobs: Sequence[Job], progresses: Sequence[float],
+        windows: Sequence[float],
+    ) -> Iterator[Tuple[Job, UpdateOutcome]]:
+        """One Monitor → Decider → Actuator step for a tick's running jobs.
+
+        ``jobs`` arrive in job-id order with their work positions and the
+        progress span until the next update; each enforced demand is the
+        maximum usage in that span (paper §2.3).  Monitor and Decider run
+        once over the whole batch — exact, because a job's per-node
+        totals change only through its own actuation (nodes are
+        CPU-exclusive).  The Actuator then resizes job by job, in order,
+        yielding ``(job, outcome)`` for each job with a non-zero decision.
+        It is a generator so that the caller settles one job's outcome (an
+        OOM kill releases memory other jobs may borrow) before the next
+        job actuates.  Phases run under ``self.obs.phase(...)``: Monitor
+        and Decider once per tick, the Actuator once per resized job.
         """
-        out = UpdateOutcome()
-        if job.jid in self._pinned:
-            return out
-        alloc = self.cluster.allocations.get(job.jid)
-        if alloc is None:
-            return out
+        batch = [
+            (job, p, w) for job, p, w in zip(jobs, progresses, windows)
+            if job.jid not in self._pinned
+            and job.jid in self.cluster.allocations
+        ]
+        if not batch:
+            return
+        jobs = [b[0] for b in batch]
+        allocs = [self.cluster.allocations[job.jid] for job in jobs]
+        layout = self._tick_layout(jobs, allocs)
         with self.obs.phase("monitor"):
-            reference = self._monitor(job, progress, window)
+            refs = self._monitor(jobs, layout.usage,
+                                 np.array([b[1] for b in batch]),
+                                 np.array([b[2] for b in batch]))
         with self.obs.phase("decider"):
-            deltas = self._decide(job, alloc, reference)
+            deltas = self._decide(layout, refs)
         prov = self.obs.provenance
-        if deltas and prov.enabled:
-            # Decider verdict, parented on the job's last lifecycle event;
-            # the resulting pool/cluster events hang off it causally.
-            prov.scope = prov.emit(
-                "decide",
-                jid=job.jid,
-                reference_mb=int(reference),
-                n_deltas=len(deltas),
-                grow_mb=int(sum(d for _, d in deltas if d > 0)),
-                shrink_mb=int(-sum(d for _, d in deltas if d < 0)),
-            )
-        with self.obs.phase("actuator"):
-            self._actuate(job.jid, alloc, deltas, out)
-        if not out.oom:
-            out.resized = out.freed_mb > 0 or out.grown_mb > 0
-        return out
+        for k in np.unique(layout.owner[np.flatnonzero(deltas)]).tolist():
+            job, alloc = jobs[k], allocs[k]
+            lo, hi = layout.bounds[k], layout.bounds[k + 1]
+            mask = deltas[lo:hi] != 0
+            nodes, job_deltas = layout.nodes[lo:hi][mask], deltas[lo:hi][mask]
+            if prov.enabled:
+                # Decider verdict, parented on the job's last lifecycle
+                # event; the resulting pool/cluster events hang off it.
+                prov.scope = prov.emit(
+                    "decide",
+                    jid=job.jid,
+                    reference_mb=int(refs[k]),
+                    n_deltas=len(job_deltas),
+                    grow_mb=int(job_deltas[job_deltas > 0].sum()),
+                    shrink_mb=int(-job_deltas[job_deltas < 0].sum()),
+                )
+            out = UpdateOutcome()
+            with self.obs.phase("actuator"):
+                self._actuate(job.jid, alloc, nodes, job_deltas, out)
+            if not out.oom:
+                out.resized = out.freed_mb > 0 or out.grown_mb > 0
+            yield job, out
 
-    def _monitor(self, job: Job, progress: float, window: float) -> int:
-        """Monitor: the usage reading the Decider will act on."""
-        reference = job.usage.max_in(progress, progress + window)
+    def _tick_layout(self, jobs: List[Job],
+                     allocs: List[JobAllocation]) -> "_TickLayout":
+        """The batch geometry for ``jobs``, rebuilt only when the set of
+        running allocations changes (starts, finishes, kills, restores)."""
+        layout = self._layout
+        if layout is None or layout.key != tuple(map(id, allocs)):
+            layout = self._layout = _TickLayout(
+                jobs, allocs,
+                [self._rank_scales(job, len(a.nodes))
+                 for job, a in zip(jobs, allocs)],
+            )
+        return layout
+
+    def _monitor(self, jobs: List[Job], usage: PackedUsage,
+                 progress: np.ndarray, window: np.ndarray) -> np.ndarray:
+        """Monitor: the usage readings the Decider will act on."""
+        refs = usage.max_in(progress, progress + window)
         if self.monitor_noise > 0.0:
             # Noisy telemetry: the Decider sees a perturbed reading, but
             # never below the memory resident right now (the Monitor
-            # cannot report less than what is mapped).
-            noise = 1.0 + self._monitor_rng.normal(0.0, self.monitor_noise)
-            observed = int(round(reference * max(noise, 0.0)))
-            reference = max(observed, job.usage.usage_at(progress))
-        reference += self.headroom_mb
-        prev = self._observed_peak.get(job.jid, 0)
-        if reference > prev:
-            self._observed_peak[job.jid] = reference
-        return reference
+            # cannot report less than what is mapped).  One draw per job
+            # in job order, as a vector: the same stream as scalar draws.
+            noise = 1.0 + self._monitor_rng.normal(
+                0.0, self.monitor_noise, size=len(jobs))
+            observed = np.rint(refs * np.maximum(noise, 0.0)).astype(np.int64)
+            refs = np.maximum(observed, usage.usage_at(progress))
+        refs = refs + self.headroom_mb
+        peak = self._observed_peak
+        for job, ref in zip(jobs, refs.tolist()):
+            if ref > peak.get(job.jid, 0):
+                peak[job.jid] = ref
+        return refs
 
     def _rank_scales(self, job: Job, n_ranks: int) -> Optional[np.ndarray]:
         """Rank-scale vector for ``job`` (``None`` = uniform 1.0)."""
@@ -195,44 +243,46 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
         self._rank_scale_cache[job.jid] = scales
         return scales
 
-    def _decide(self, job: Job, alloc: JobAllocation,
-                reference: int) -> List[Tuple[int, int]]:
-        """Decider: per-node (node, delta MB) resize decisions.
+    def _decide(self, layout: "_TickLayout", refs: np.ndarray) -> np.ndarray:
+        """Decider: per-node resize deltas (MB) over the batch's nodes.
 
-        Pure read of the job's own allocation — actuating one node never
-        changes another node's ``total_on``, so deciding everything
-        up-front is equivalent to the interleaved decide/act loop.
-
-        Vectorised over the columnar store: a job's per-node totals are
-        exactly ``local_used_mb + remote_held_mb`` on its (CPU-exclusive)
-        nodes, and ``np.rint`` rounds half-to-even like ``round``, so the
-        demands are bit-identical to the former per-rank loop.
+        A job's per-node totals are exactly ``local_used_mb +
+        remote_held_mb`` on its (CPU-exclusive) nodes.  Per-node demand
+        is the job's reading, scaled by rank where ranks have imbalanced
+        footprints (paper Fig. 1a); ``np.rint`` rounds half-to-even like
+        ``round``, and a unit scale reproduces the reading exactly.
         """
-        nodes = alloc.nodes_array()
-        scales = self._rank_scales(job, len(nodes))
-        if scales is None:
-            demands = np.full(len(nodes), reference, dtype=np.int64)
-        else:
-            # Per-node demand: the Monitor reports each node separately
-            # (paper Fig. 1a); ranks may have imbalanced footprints.
-            demands = np.rint(reference * scales).astype(np.int64)
+        demands = np.repeat(refs, layout.lengths)
+        if layout.scales is not None:
+            demands = np.rint(demands * layout.scales).astype(np.int64)
         c = self.cluster
-        totals = c.local_used_mb[nodes] + c.remote_held_mb[nodes]
-        delta_arr = demands - totals
-        (nz,) = np.nonzero(delta_arr)
-        return [(int(nodes[i]), int(delta_arr[i])) for i in nz]
+        nodes = layout.nodes
+        return demands - (c.local_used_mb[nodes] + c.remote_held_mb[nodes])
 
-    def _actuate(self, jid: int, alloc: JobAllocation,
-                 deltas: List[Tuple[int, int]], out: UpdateOutcome) -> None:
-        """Actuator: apply the decided resizes, in node order.
+    def _actuate(self, jid: int, alloc: JobAllocation, nodes: np.ndarray,
+                 deltas: np.ndarray, out: UpdateOutcome) -> None:
+        """Actuator: apply one job's decided resizes, in node order.
 
-        The whole window runs under ``defer_demand`` so the per-mutation
-        demand notifications collapse into one flush — the contention
-        model reprices after the update returns, so nothing reads lender
-        demand mid-window.
+        When no shrinking node holds remote memory and every grow fits
+        the node's free DRAM, the job's resizes are purely local and go
+        through one bulk funnel.  Otherwise the per-node path runs, which
+        borrows through the pool one node at a time (a borrow may lend
+        from the job's own later nodes).  The job's window runs under
+        ``defer_demand`` so the per-mutation demand notifications
+        collapse into one flush — the contention model reprices after
+        the tick, so nothing reads lender demand mid-window.
         """
-        with self.cluster.defer_demand():
-            for node, delta in deltas:
+        c = self.cluster
+        grows = deltas > 0
+        with c.defer_demand():
+            if (not c.remote_held_mb[nodes[~grows]].any()
+                    and (deltas[grows] <= c.free_local()[nodes[grows]]).all()):
+                c.resize_local_many(jid, nodes, deltas, alloc=alloc)
+                out.grown_mb = int(deltas[grows].sum())
+                out.freed_mb = -int(deltas[~grows].sum())
+                out.touched_nodes = nodes.tolist()
+                return
+            for node, delta in zip(nodes.tolist(), deltas.tolist()):
                 if delta < 0:
                     self._shrink(jid, alloc, node, -delta, out)
                 elif not self._grow(jid, alloc, node, delta, out):
@@ -293,3 +343,34 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
             out.grown_mb += mb
             out.touched_nodes.append(lender)
         return True
+
+
+class _TickLayout:
+    """Concatenated geometry of one tick's monitored jobs.
+
+    ``nodes`` concatenates the jobs' compute nodes (job ``k`` owns
+    ``nodes[bounds[k]:bounds[k + 1]]``), ``scales`` the matching rank
+    scales (``None`` when every job is uniform), and ``usage`` packs the
+    jobs' usage curves.  ``key`` identifies the allocations it was built
+    from; holding them keeps those ids from being reused.
+    """
+
+    __slots__ = ("key", "allocs", "usage", "nodes", "lengths", "bounds",
+                 "owner", "scales")
+
+    def __init__(self, jobs: List[Job], allocs: List[JobAllocation],
+                 scales: List[Optional[np.ndarray]]):
+        self.allocs = allocs
+        self.key = tuple(map(id, allocs))
+        self.usage = PackedUsage([job.usage for job in jobs])
+        per_job = [a.nodes_array() for a in allocs]
+        self.nodes = np.concatenate(per_job)
+        self.lengths = np.fromiter(map(len, per_job), np.int64, len(per_job))
+        self.bounds = np.concatenate([[0], np.cumsum(self.lengths)]).tolist()
+        self.owner = np.repeat(np.arange(len(per_job)), self.lengths)
+        self.scales = None
+        if any(sc is not None for sc in scales):
+            self.scales = np.concatenate([
+                np.ones(len(n)) if sc is None else sc
+                for sc, n in zip(scales, per_job)
+            ])

@@ -31,7 +31,7 @@ from ..obs.blame import (
     WAIT_MEMNODE,
 )
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from ..policies.base import AllocationPolicy
+from ..policies.base import AllocationPolicy, UpdateOutcome
 from ..slowdown.model import ContentionModel
 from .backfill import can_backfill, shadow_time
 from .eventlog import EventLog, NullEventLog
@@ -172,18 +172,22 @@ class Controller:
                 n_nodes=job.n_nodes, mem_request_mb=job.mem_request_mb,
             )
         if not self.policy.can_ever_run(job):
-            job.set_state(JobState.UNRUNNABLE)
-            self.result.unrunnable.append(job.jid)
-            self.telemetry.inc("jobs_unrunnable")
-            self.event_log.log(engine.now, _ev.UNRUNNABLE, job.jid)
-            if prov.enabled:
-                prov.emit("unrunnable", jid=job.jid)
+            self.reject(job, engine.now)
             return
         self.pending.add(job)
         if self.blame is not None:
             self.blame.enqueued(job.jid, engine.now)
         self._dirty = True
         self._request_sched(engine.now)
+
+    def reject(self, job: Job, now: float) -> None:
+        """Mark ``job`` unrunnable: the policy could never start it."""
+        job.set_state(JobState.UNRUNNABLE)
+        self.result.unrunnable.append(job.jid)
+        self.telemetry.inc("jobs_unrunnable")
+        self.event_log.log(now, _ev.UNRUNNABLE, job.jid)
+        if self.prov.enabled:
+            self.prov.emit("unrunnable", jid=job.jid)
 
     def _on_sched(self, engine: Engine, ev: Event) -> None:
         self._sched_scheduled = False
@@ -252,49 +256,34 @@ class Controller:
             affected: Set[int] = set()
             freed = False
             # Deterministic iteration order over running jobs.
+            jobs = []
             for jid in sorted(self.running):
-                job = self.running.get(jid)
-                if job is None or job.state is not JobState.RUNNING:
-                    continue
-                if prov.enabled:
-                    # The policy scopes its events under its own "decide";
-                    # each job's loop turn restarts from the tick root.
-                    prov.scope = tick_scope
-                self._advance(job, now)
-                window = self.config.update_interval / max(job.slowdown, 1.0)
-                outcome = self.policy.update(job, job.work_done, window)
+                job = self.running[jid]
+                if job.state is JobState.RUNNING:
+                    self._advance(job, now)
+                    jobs.append(job)
+            interval = self.config.update_interval
+            ticks = self.policy.update_tick(
+                jobs, [job.work_done for job in jobs],
+                [interval / max(job.slowdown, 1.0) for job in jobs],
+            )
+            for job, outcome in ticks:
                 if outcome.oom:
                     affected.update(self._kill(job, now))
                     freed = True
-                    continue
-                if outcome.resized:
-                    tel.inc("resizes")
+                else:
+                    self._record_resize(job, outcome, now)
+                    if outcome.touched_nodes:
+                        affected.update(self.model.affected_jobs(
+                            self.cluster, outcome.touched_nodes))
                     if outcome.freed_mb > 0:
-                        tel.inc("resize_freed_mb", outcome.freed_mb)
-                        tel.observe_resize(outcome.freed_mb)
-                    if outcome.grown_mb > 0:
-                        tel.inc("resize_grown_mb", outcome.grown_mb)
-                        tel.observe_resize(outcome.grown_mb)
-                    self.event_log.log(
-                        now, _ev.RESIZE, job.jid,
-                        f"freed={outcome.freed_mb}MB grown={outcome.grown_mb}MB",
-                    )
-                    if prov.enabled:
-                        prov.emit(
-                            "resize", jid=job.jid,
-                            freed_mb=outcome.freed_mb,
-                            grown_mb=outcome.grown_mb,
-                        )
-                if outcome.touched_nodes:
-                    affected.update(
-                        self.model.affected_jobs(self.cluster, outcome.touched_nodes)
-                    )
-                if outcome.freed_mb > 0:
-                    freed = True
+                        freed = True
+                if prov.enabled:
+                    # The policy scopes a job's events under its own
+                    # "decide"; the next job restarts from the tick root.
+                    prov.scope = tick_scope
             # Executor: push the decided changes back into the engine by
             # repricing affected finish events (paper Fig. 1a).
-            if prov.enabled:
-                prov.scope = tick_scope
             with tel.phase("executor"):
                 self._reprice(affected, now)
         tel.flush_phases(now, "policy")
@@ -303,6 +292,30 @@ class Controller:
             self._request_sched(now)
         if self.running or self.pending:
             self._schedule_mem_update(now)
+
+    def _record_resize(self, job: Job, outcome: UpdateOutcome,
+                       now: float) -> None:
+        """Counters, event-log line and provenance for one resize."""
+        if not outcome.resized:
+            return
+        tel = self.telemetry
+        tel.inc("resizes")
+        if outcome.freed_mb > 0:
+            tel.inc("resize_freed_mb", outcome.freed_mb)
+            tel.observe_resize(outcome.freed_mb)
+        if outcome.grown_mb > 0:
+            tel.inc("resize_grown_mb", outcome.grown_mb)
+            tel.observe_resize(outcome.grown_mb)
+        self.event_log.log(
+            now, _ev.RESIZE, job.jid,
+            f"freed={outcome.freed_mb}MB grown={outcome.grown_mb}MB",
+        )
+        if self.prov.enabled:
+            self.prov.emit(
+                "resize", jid=job.jid,
+                freed_mb=outcome.freed_mb,
+                grown_mb=outcome.grown_mb,
+            )
 
     def _on_sample(self, engine: Engine, ev: Event) -> None:
         now = engine.now

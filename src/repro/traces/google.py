@@ -103,6 +103,11 @@ _END_WEIGHTS = {
 }
 
 
+def _clip(x: float, lo: float, hi: float) -> float:
+    """Scalar ``np.clip`` (same value, without the array round trip)."""
+    return min(max(x, lo), hi)
+
+
 def generate(
     n_jobs: int,
     seed: SeedLike = None,
@@ -126,15 +131,15 @@ def generate(
         end = ends[rng.choice(len(ends), p=end_p)]
         sched_class = int(rng.integers(0, 4))
         runtime = float(
-            np.clip(
+            _clip(
                 rng.lognormal(np.log(median_runtime_s), runtime_sigma),
                 WINDOW_S,
                 14 * 24 * HOUR,
             )
         )
-        n_tasks = int(np.clip(np.round(rng.lognormal(np.log(8), 1.2)), 1, max_tasks))
+        n_tasks = int(_clip(np.round(rng.lognormal(np.log(8), 1.2)), 1, max_tasks))
         peak_mb = int(
-            np.clip(
+            _clip(
                 rng.lognormal(np.log(median_peak_gb * MB_PER_GB), peak_sigma),
                 64,
                 130 * MB_PER_GB,
@@ -144,13 +149,9 @@ def generate(
         n_windows = max(int(np.ceil(runtime / WINDOW_S)), 1)
         t0 = np.arange(n_windows) * WINDOW_S
         t1 = np.minimum(t0 + WINDOW_S, runtime)
-        maxima = np.array(
-            [curve.max_in(a, b) for a, b in zip(t0, t1)], dtype=np.float64
-        )
+        maxima = curve.max_in_many(t0, t1).astype(np.float64)
         # Window averages: sample the curve mid-window (cheap, adequate).
-        avgs = np.array(
-            [curve.usage_at((a + b) / 2) for a, b in zip(t0, t1)], dtype=np.float64
-        )
+        avgs = curve.usage_at_many((t0 + t1) / 2).astype(np.float64)
         avgs = np.minimum(avgs, maxima)
         jobs.append(
             GoogleJob(

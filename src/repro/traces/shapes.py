@@ -50,7 +50,7 @@ def phased_usage(
     times = np.concatenate([[0.0], np.cumsum(widths)[:-1]])
     mem = np.maximum(np.round(levels * peak_mb), 1).astype(np.int64)
     # Merge zero-width segments defensively (Dirichlet can emit tiny ones).
-    keep = np.concatenate([[True], np.diff(times) > 1e-9])
+    keep = np.concatenate([[True], times[1:] - times[:-1] > 1e-9])
     return UsageTrace(times[keep], mem[keep])
 
 

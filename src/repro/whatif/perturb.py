@@ -129,6 +129,14 @@ class SwapPolicy(Perturbation):
         if cold:
             return
         now = handle.engine.now
+        # Queued jobs were admitted by the old policy; those the new one
+        # could never start (e.g. a request beyond any node's DRAM under
+        # baseline) are rejected as a fresh submission would be.
+        for job in [j for j in controller.pending if not pol.can_ever_run(j)]:
+            controller.pending.remove(job)
+            if controller.prov.enabled:
+                controller.prov.now = now
+            controller.reject(job, now)
         if controller.running and pol.is_dynamic:
             # Mid-run swap to a dynamic policy: restart the MAPE loop.
             controller._schedule_mem_update(now)

@@ -345,3 +345,22 @@ def test_campaign_telemetry_flag_and_eta(tmp_path, capsys):
     assert (tel_dir / "metrics.prom").exists()
     dumps = list((tel_dir / "scenarios").glob("*.json"))
     assert len(dumps) == 3  # one per policy
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (["simulate", "--nodes", "0"], "--nodes must be >= 1, got 0"),
+    (["simulate", "--jobs", "0", "--nodes", "16"], "--jobs must be >= 1"),
+    (["generate", "--nodes", "-4", "--out", "x.json"], "--nodes must be"),
+    (["whatif", "--nodes", "0", "--swap-policy", "static"], "--nodes must"),
+    (["whatif", "--at", "-10", "--swap-policy", "static"],
+     "--at must be >= 0, got -10"),
+    (["whatif", "--jobs", "20", "--nodes", "16", "--at", "1e9",
+      "--swap-policy", "static"], "beyond the base run's end"),
+])
+def test_boundary_errors_exit_2_with_one_line(argv, needle, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and needle in lines[0], captured.err
+    assert lines[0].startswith("repro: error: ")
