@@ -404,14 +404,44 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _whatif_perturbation(args):
+    """The perturbation the ``whatif`` flags ask for (``ValueError`` if
+    the flags cannot describe one)."""
+    from .whatif import AddMemNodes, SubmitJob, SwapPolicy
+
+    if args.swap_policy:
+        return SwapPolicy(args.swap_policy)
+    if args.add_memnodes is not None:
+        return AddMemNodes(args.add_memnodes, args.extra_mb)
+    parts = args.submit.split(":")
+    try:
+        if len(parts) not in (3, 4):
+            raise ValueError
+        nodes = int(parts[0])
+        runtime = float(parts[1])
+        mem_mb = int(parts[2])
+        wall = float(parts[3]) if len(parts) == 4 else None
+    except ValueError:
+        raise ValueError(
+            "expects NODES:RUNTIME:MEM_MB[:WALLTIME] with integer NODES "
+            f"and MEM_MB, got {args.submit!r}") from None
+    return SubmitJob(n_nodes=nodes, base_runtime=runtime,
+                     mem_request_mb=mem_mb, walltime_limit=wall)
+
+
 def _cmd_whatif(args) -> int:
-    from .whatif import AddMemNodes, SubmitJob, SwapPolicy, WhatIf
+    from .whatif import WhatIf
 
     bad = _bad_sizes(args)
     if bad:
         return _usage_error(bad)
     if args.at < 0:
         return _usage_error(f"--at must be >= 0, got {args.at:g}")
+    try:
+        perturbation = _whatif_perturbation(args)
+    except ValueError as exc:
+        flag = "--submit" if args.submit else "--add-memnodes"
+        return _usage_error(f"{flag}: {exc}")
     if args.workload:
         wl = load_workload(args.workload)
         jobs = wl.fresh_jobs()
@@ -430,22 +460,6 @@ def _cmd_whatif(args) -> int:
         args.memory_level, n_nodes=args.nodes,
         update_interval=args.update_interval,
     )
-    if args.submit:
-        parts = args.submit.split(":")
-        if len(parts) not in (3, 4):
-            raise SystemExit(
-                "--submit expects NODES:RUNTIME:MEM_MB[:WALLTIME], got "
-                f"{args.submit!r}")
-        perturbation = SubmitJob(
-            n_nodes=int(parts[0]),
-            base_runtime=float(parts[1]),
-            mem_request_mb=int(parts[2]),
-            walltime_limit=float(parts[3]) if len(parts) == 4 else None,
-        )
-    elif args.swap_policy:
-        perturbation = SwapPolicy(args.swap_policy)
-    else:
-        perturbation = AddMemNodes(args.add_memnodes, args.extra_mb)
     console.detail(
         f"forking {len(jobs)} jobs on {args.nodes} nodes "
         f"({args.policy}, {args.memory_level}% memory) at t={args.at:g}s")

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import re
+from itertools import islice
 from typing import Dict, List, Tuple
 
 from .registry import MetricsRegistry
@@ -45,8 +46,15 @@ def sanitize_metric_name(name: str, prefix: str = "repro") -> str:
 # ----------------------------------------------------------------------
 # JSONL
 # ----------------------------------------------------------------------
-def metrics_jsonl(registry: MetricsRegistry) -> str:
-    """One JSON object per line: counters, gauges, histograms, samples."""
+def metrics_jsonl(registry: MetricsRegistry, start: int = 0,
+                  prefix: str = "") -> str:
+    """One JSON object per line: counters, gauges, histograms, samples.
+
+    ``start``/``prefix`` resume a dump: the first ``start`` samples are
+    not encoded, and ``prefix`` — their already-encoded text — goes
+    between the counter/gauge/histogram lines and the later samples.
+    The defaults dump everything.
+    """
     lines: List[str] = []
     for name in sorted(registry.counters):
         lines.append(json.dumps(
@@ -62,10 +70,13 @@ def metrics_jsonl(registry: MetricsRegistry) -> str:
         lines.append(json.dumps(
             {"type": "histogram", "name": name, "bounds": list(h.bounds),
              "counts": list(h.counts), "sum": h.total, "count": h.count}))
-    for t, name, value in registry.series:
-        lines.append(json.dumps(
-            {"type": "sample", "t": t, "name": name, "value": value}))
-    return "".join(line + "\n" for line in lines)
+    samples = "".join(
+        json.dumps({"type": "sample", "t": t, "name": name, "value": value})
+        + "\n"
+        for t, name, value in islice(registry.series, start, None)
+    )
+    head = "".join(line + "\n" for line in lines)
+    return "".join((head, prefix, samples))  # one copy of the prefix
 
 
 # ----------------------------------------------------------------------

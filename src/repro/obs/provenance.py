@@ -25,8 +25,11 @@ from __future__ import annotations
 
 import json
 from collections import deque
+from itertools import islice
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 __all__ = [
     "NULL_PROVENANCE",
@@ -226,8 +229,16 @@ class ProvenanceLog:
         """JSON-ready rows, oldest-first (deterministic)."""
         return [e.to_row() for e in self.events]
 
-    def to_jsonl(self) -> str:
-        return provenance_jsonl(self.to_rows())
+    def to_jsonl(self, start: int = 0, prefix: str = "") -> str:
+        """JSONL dump of the retained events, oldest-first.
+
+        ``start``/``prefix`` resume a dump: the first ``start`` retained
+        events are not encoded, and ``prefix`` — their already-encoded
+        text — leads the result.  The defaults dump everything.
+        """
+        return prefix + provenance_jsonl(
+            e.to_row() for e in islice(self.events, start, None)
+        )
 
 
 class NullProvenance(ProvenanceLog):
@@ -252,7 +263,7 @@ NULL_PROVENANCE = NullProvenance()
 # ----------------------------------------------------------------------
 # Serialisation
 # ----------------------------------------------------------------------
-def provenance_jsonl(rows: Sequence[Dict[str, object]]) -> str:
+def provenance_jsonl(rows: Iterable[Dict[str, object]]) -> str:
     """Deterministic JSONL dump of provenance rows."""
     return "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 

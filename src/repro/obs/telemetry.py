@@ -16,6 +16,7 @@ runs without telemetry stay at seed performance.
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 from time import perf_counter
 from typing import Dict, List, Optional, Union
@@ -273,21 +274,24 @@ class Telemetry:
         return directory
 
 
-def event_log_jsonl(event_log) -> str:
+def event_log_jsonl(event_log, start: int = 0, prefix: str = "") -> str:
     """Serialise an :class:`repro.scheduler.eventlog.EventLog` to JSONL.
 
     Duck-typed (entries with ``time``/``event``/``jid``/``detail``) so
     :mod:`repro.obs` stays import-independent of the scheduler package.
+    ``start``/``prefix`` resume a dump: the first ``start`` retained
+    entries are not encoded, and ``prefix`` — their already-encoded
+    text — leads the result.  The defaults dump everything.
     """
-    lines = []
-    for e in event_log:
+    lines = [prefix]
+    for e in islice(event_log, start, None):
         row: Dict[str, object] = {"t": e.time, "event": e.event}
         if e.jid is not None:
             row["jid"] = e.jid
         if e.detail:
             row["detail"] = e.detail
-        lines.append(json.dumps(row))
-    return "".join(line + "\n" for line in lines)
+        lines.append(json.dumps(row) + "\n")
+    return "".join(lines)
 
 
 class NullTelemetry(Telemetry):

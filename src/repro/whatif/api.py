@@ -19,8 +19,8 @@ same state come from the fork cache without replaying anything.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -39,6 +39,28 @@ __all__ = ["WhatIf", "WhatIfReport", "fork"]
 
 #: Metrics reported beyond ``SimulationResult.summary()``.
 _EXTRA_METRICS = ("mean_wait_s", "p50_wait_s", "mean_slowdown")
+
+
+def _line_end(text: str, n: int, pos: int = 0) -> int:
+    """Offset just past the next ``n`` lines of ``text`` from ``pos``."""
+    for _ in range(n):
+        pos = text.index("\n", pos) + 1
+    return pos
+
+
+@dataclass
+class _Cut:
+    """Where one observability stream stood at the fork point.
+
+    ``start`` entries were retained and ``dropped`` evicted by then;
+    ``span`` is the character span their encoding occupies in the base
+    report's dump of the stream (``None`` until located, and for good
+    if a ring buffer evicted entries of the base run after the fork).
+    """
+
+    start: int
+    dropped: int
+    span: Optional[Tuple[int, int]] = None
 
 
 def _metrics(result: SimulationResult) -> Dict[str, float]:
@@ -160,6 +182,8 @@ class WhatIf:
     capture_observability:
         Serialize metrics/provenance/blame/event-log dumps into each
         report (requires an enabled ``telemetry=`` for the full set).
+        Queries encode only their replayed suffix and take the fork
+        prefix's text from the base report's dumps.
     """
 
     def __init__(
@@ -183,6 +207,10 @@ class WhatIf:
 
         self.handle.run_until(at, inclusive=False)
         self.snapshot = SimSnapshot.capture(self.handle)
+        self._cuts = {
+            key: _Cut(start, dropped)
+            for key, (start, dropped, _) in self._streams().items()
+        }
         base_result = self.handle.finish()
         self.base_metrics = _metrics(base_result)
         self.base_report = WhatIfReport(
@@ -198,6 +226,8 @@ class WhatIf:
             ),
             events_replayed=base_result.events_processed,
         )
+        if capture_observability:
+            self._locate_prefixes()
         self.snapshot.restore()
 
     # ------------------------------------------------------------------
@@ -237,18 +267,78 @@ class WhatIf:
         return report
 
     # ------------------------------------------------------------------
+    # Observability capture.  The entries before the fork are the same
+    # objects after every rollback, so their encoding is the same text
+    # each time: the base report's dumps already hold it, and a query
+    # encodes only what it replayed, after a slice of that text.
+    # ------------------------------------------------------------------
+    def _streams(self) -> Dict[str, Tuple[int, int, int]]:
+        """``(entries, dropped, head lines)`` of each live dump stream.
+
+        Head lines precede the entries in the dump (the metrics dump's
+        counter/gauge/histogram lines); ``dropped`` counts ring-buffer
+        evictions.
+        """
+        streams: Dict[str, Tuple[int, int, int]] = {}
+        telemetry = self.handle.controller.telemetry
+        if telemetry.enabled:
+            reg = telemetry.registry
+            streams["metrics_jsonl"] = (
+                len(reg.series), 0,
+                len(reg.counters) + len(reg.gauges) + len(reg.histograms),
+            )
+            prov = telemetry.provenance
+            if prov.enabled:
+                streams["provenance_jsonl"] = (len(prov), prov.dropped, 0)
+        event_log = self.handle.event_log
+        if event_log is not None and event_log.enabled:
+            streams["events_jsonl"] = (
+                len(event_log), event_log.dropped, 0
+            )
+        return streams
+
+    def _locate_prefixes(self) -> None:
+        """Find each fork prefix in the base report's dumps.
+
+        A stream that evicted entries after the fork no longer starts
+        with them; it keeps no span and every query encodes it whole.
+        """
+        dumps = self.base_report.observability
+        for key, (_, dropped, head) in self._streams().items():
+            cut = self._cuts[key]
+            if dropped == cut.dropped:
+                a = _line_end(dumps[key], head)
+                cut.span = (a, _line_end(dumps[key], cut.start, a))
+
+    def _resume(self, key: str) -> Tuple[int, str]:
+        """``(start, prefix)`` arguments to encode stream ``key``.
+
+        Valid only while the live stream has evicted nothing since the
+        fork; otherwise (and for the base capture itself) ``(0, "")``
+        encodes it from its first retained entry.
+        """
+        cut = self._cuts.get(key)
+        if cut is None or cut.span is None \
+                or self._streams()[key][1] != cut.dropped:
+            return 0, ""
+        a, b = cut.span
+        return cut.start, self.base_report.observability[key][a:b]
+
     def _capture_observability(self) -> Dict[str, object]:
         obs: Dict[str, object] = {}
         telemetry = self.handle.controller.telemetry
         if telemetry.enabled:
-            obs["metrics_jsonl"] = metrics_jsonl(telemetry.registry)
+            obs["metrics_jsonl"] = metrics_jsonl(
+                telemetry.registry, *self._resume("metrics_jsonl"))
             if telemetry.provenance.enabled:
-                obs["provenance_jsonl"] = telemetry.provenance.to_jsonl()
+                obs["provenance_jsonl"] = telemetry.provenance.to_jsonl(
+                    *self._resume("provenance_jsonl"))
             if telemetry.blame is not None:
                 obs["blame"] = telemetry.blame.to_dict()
         event_log = self.handle.event_log
         if event_log is not None and event_log.enabled:
-            obs["events_jsonl"] = event_log_jsonl(event_log)
+            obs["events_jsonl"] = event_log_jsonl(
+                event_log, *self._resume("events_jsonl"))
         return obs
 
     def stats(self) -> Dict[str, object]:

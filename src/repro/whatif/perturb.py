@@ -15,6 +15,7 @@ snapshot's content hash) to memoize fork results in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional
 
@@ -55,6 +56,19 @@ class SubmitJob(Perturbation):
     walltime_limit: Optional[float] = None
     jid: Optional[int] = None
     profile: int = 0
+
+    def __post_init__(self):
+        # Checked here, not when the job is built at apply time, so a
+        # bad request fails before any simulation runs.
+        if self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        if not (self.base_runtime > 0 and math.isfinite(self.base_runtime)):
+            raise ValueError(
+                f"base_runtime must be positive and finite, "
+                f"got {self.base_runtime:g}")
+        if self.mem_request_mb < 0:
+            raise ValueError(
+                f"mem_request_mb must be >= 0, got {self.mem_request_mb}")
 
     def apply(self, handle) -> None:
         controller = handle.controller
@@ -159,6 +173,13 @@ class AddMemNodes(Perturbation):
 
     n_nodes: int
     extra_mb_per_node: int
+
+    def __post_init__(self):
+        if self.n_nodes < 1:
+            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        if self.extra_mb_per_node < 1:
+            raise ValueError(
+                f"extra_mb_per_node must be >= 1, got {self.extra_mb_per_node}")
 
     def apply(self, handle) -> None:
         cluster = handle.cluster

@@ -356,6 +356,14 @@ def test_campaign_telemetry_flag_and_eta(tmp_path, capsys):
      "--at must be >= 0, got -10"),
     (["whatif", "--jobs", "20", "--nodes", "16", "--at", "1e9",
       "--swap-policy", "static"], "beyond the base run's end"),
+    (["whatif", "--submit", "4:abc:65536"], "--submit: expects NODES:"),
+    (["whatif", "--submit", "4:3600"], "--submit: expects NODES:"),
+    (["whatif", "--submit", "0:3600:65536"], "n_nodes must be >= 1, got 0"),
+    (["whatif", "--submit", "4:-5:65536"], "base_runtime must be positive"),
+    (["whatif", "--add-memnodes", "-3"], "n_nodes must be >= 1, got -3"),
+    (["whatif", "--add-memnodes", "0"], "n_nodes must be >= 1, got 0"),
+    (["whatif", "--add-memnodes", "2", "--extra-mb", "0"],
+     "extra_mb_per_node must be >= 1, got 0"),
 ])
 def test_boundary_errors_exit_2_with_one_line(argv, needle, capsys):
     assert main(argv) == 2

@@ -26,6 +26,7 @@ from repro.cluster.columns import NodeColumns
 from repro.jobs.job import Job
 from repro.jobs.usage import UsageTrace
 from repro.obs.export import metrics_jsonl
+from repro.obs.provenance import ProvenanceEvent
 from repro.obs.telemetry import Telemetry, event_log_jsonl
 from repro.scheduler.simulator import build_simulation, simulate
 from repro.traces.pipeline import synthetic_workload
@@ -120,6 +121,136 @@ def test_fork_parity_includes_observability():
     assert obs["events_jsonl"] == event_log_jsonl(handle.event_log)
 
 
+# ----------------------------------------------------------------------
+# Observed sessions: queries encode only the replayed suffix
+# ----------------------------------------------------------------------
+#: One observed session answers these in a row (each reuses the prefix).
+_OBSERVED_QUERIES = (
+    SubmitJob(n_nodes=4, base_runtime=1800.0, mem_request_mb=32768),
+    SwapPolicy("static"),
+    SwapPolicy("baseline"),
+    AddMemNodes(n_nodes=2, extra_mb_per_node=32768),
+    SubmitJob(n_nodes=2, base_runtime=600.0, mem_request_mb=16384),
+)
+
+
+def _fresh_dumps(wl, at, pert, telemetry):
+    """Full dumps of a fresh run paused at ``at`` and perturbed there,
+    plus its ``(provenance, event log)`` eviction counts."""
+    handle = build_simulation(wl.fresh_jobs(), CONFIG, policy="dynamic",
+                              profiles=wl.profiles, telemetry=telemetry)
+    handle.run_until(at, inclusive=False)
+    pert.apply(handle)
+    handle.finish()
+    dumps = {
+        "metrics_jsonl": metrics_jsonl(telemetry.registry),
+        "provenance_jsonl": telemetry.provenance.to_jsonl(),
+        "blame": telemetry.blame.to_dict(),
+        "events_jsonl": event_log_jsonl(handle.event_log),
+    }
+    return dumps, (telemetry.provenance.dropped, handle.event_log.dropped)
+
+
+def _observed_queries_match_fresh_runs(wl, at, **ring):
+    """Ask every :data:`_OBSERVED_QUERIES` of one observed session and
+    compare each report's dumps with a fresh run's; returns the fresh
+    runs' eviction counts."""
+    session = WhatIf(wl.fresh_jobs(), CONFIG, policy="dynamic", at=at,
+                     profiles=wl.profiles, telemetry=Telemetry(**ring),
+                     capture_observability=True)
+    evictions = []
+    for pert in _OBSERVED_QUERIES:
+        report = session.query(pert, use_cache=False)
+        fresh, dropped = _fresh_dumps(wl, at, pert, Telemetry(**ring))
+        assert report.observability == fresh, pert.key()
+        evictions.append(dropped)
+    return evictions
+
+
+def _base_run(wl):
+    """Makespan and ``(provenance, event log)`` totals of the base run."""
+    telemetry = Telemetry()
+    handle = build_simulation(wl.fresh_jobs(), CONFIG, policy="dynamic",
+                              profiles=wl.profiles, telemetry=telemetry)
+    result = handle.finish()
+    return result.makespan, (telemetry.provenance.next_eid,
+                             len(handle.event_log))
+
+
+def test_observed_session_reuses_prefix_across_queries():
+    wl = _workload()
+    makespan, _ = _base_run(wl)
+    evictions = _observed_queries_match_fresh_runs(wl, 0.5 * makespan)
+    assert not any(p or e for p, e in evictions)
+
+
+@pytest.mark.parametrize("ring_delta", [
+    "half",  # the base run and every query evict
+    -1,      # the base run evicts; the policy swaps log less and do not
+    +1,      # only queries that add events evict
+])
+def test_observed_queries_survive_ring_eviction(ring_delta):
+    """Ring buffers small enough that entries from before the fork are
+    evicted after it, sized from the base run's provenance and event-log
+    totals: each stream's prefix must be dropped wherever that happens."""
+    wl = _workload()
+    makespan, totals = _base_run(wl)
+    n_prov, n_log = (
+        n // 2 if ring_delta == "half" else n + ring_delta for n in totals
+    )
+    evictions = _observed_queries_match_fresh_runs(
+        wl, 0.5 * makespan, max_prov_entries=n_prov, max_log_entries=n_log)
+    submit, static_swap = evictions[0], evictions[1]
+    assert submit[0] > 0 and submit[1] > 0
+    assert (static_swap == (0, 0)) == (ring_delta != "half")
+
+
+def test_reused_query_encodes_only_the_replayed_suffix(monkeypatch):
+    wl = _workload()
+    makespan, _ = _base_run(wl)
+    session = WhatIf(wl.fresh_jobs(), CONFIG, policy="dynamic",
+                     at=0.5 * makespan, profiles=wl.profiles,
+                     telemetry=Telemetry(), capture_observability=True)
+    fork_len = len(session.handle.controller.telemetry.provenance)
+    encoded = []
+    to_row = ProvenanceEvent.to_row
+
+    def counting_to_row(event):
+        encoded.append(event.eid)
+        return to_row(event)
+
+    monkeypatch.setattr(ProvenanceEvent, "to_row", counting_to_row)
+    report = session.query(_OBSERVED_QUERIES[0])
+    n_rows = report.observability["provenance_jsonl"].count("\n")
+    assert 0 < fork_len < n_rows
+    assert len(encoded) == n_rows - fork_len
+
+
+def test_serializers_resume_from_an_encoded_prefix():
+    """Default arguments dump everything; ``start``/``prefix`` with the
+    encoding of the first ``start`` entries produce the same bytes."""
+    wl = _workload()
+    telemetry = Telemetry()
+    handle = build_simulation(wl.fresh_jobs(), CONFIG, policy="dynamic",
+                              profiles=wl.profiles, telemetry=telemetry)
+    handle.finish()
+    reg, prov, log = telemetry.registry, telemetry.provenance, handle.event_log
+
+    def lines(text, a, b):
+        return "".join(text.splitlines(keepends=True)[a:b])
+
+    full = metrics_jsonl(reg)
+    head = len(reg.counters) + len(reg.gauges) + len(reg.histograms)
+    k = len(reg.series) // 3
+    assert metrics_jsonl(reg, k, lines(full, head, head + k)) == full
+    full = prov.to_jsonl()
+    k = len(prov) // 3
+    assert prov.to_jsonl(k, lines(full, 0, k)) == full
+    full = event_log_jsonl(log)
+    k = len(log) // 3
+    assert event_log_jsonl(log, k, lines(full, 0, k)) == full
+
+
 def test_golden_large_cluster_parity():
     """The 1024-node golden check from the issue's acceptance criteria."""
     wl = synthetic_workload(n_jobs=200, n_system_nodes=1024, seed=11)
@@ -167,6 +298,24 @@ def test_add_memnodes_requires_idle_nodes():
                      profiles=wl.profiles)
     with pytest.raises(SimulationError):
         session.query(AddMemNodes(10_000, 1024))
+
+
+@pytest.mark.parametrize("n_nodes, extra_mb", [(-3, 65536), (0, 65536),
+                                               (2, 0), (2, -1024)])
+def test_add_memnodes_rejects_non_positive_sizes(n_nodes, extra_mb):
+    with pytest.raises(ValueError):
+        AddMemNodes(n_nodes, extra_mb)
+
+
+@pytest.mark.parametrize("fields", [
+    dict(n_nodes=0, base_runtime=3600.0, mem_request_mb=65536),
+    dict(n_nodes=4, base_runtime=-5.0, mem_request_mb=65536),
+    dict(n_nodes=4, base_runtime=float("nan"), mem_request_mb=65536),
+    dict(n_nodes=4, base_runtime=3600.0, mem_request_mb=-1),
+])
+def test_submit_job_rejects_malformed_requests(fields):
+    with pytest.raises(ValueError):
+        SubmitJob(**fields)
 
 
 def test_cow_fork_touches_few_pages():
