@@ -300,17 +300,29 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _bad_sizes(args) -> Optional[str]:
-    """Why ``--nodes``/``--jobs`` cannot describe a system, if they can't."""
+def _bad_flags(args) -> Optional[str]:
+    """Why the workload and system flags cannot describe a run, if they
+    can't (the same bounds the workload and config builders enforce)."""
     for flag in ("nodes", "jobs"):
         value = getattr(args, flag, None)
         if value is not None and value < 1:
             return f"--{flag} must be >= 1, got {value}"
+    bounds = (
+        ("overestimation", lambda v: v >= 0, ">= 0"),
+        ("frac_large", lambda v: 0 <= v <= 1, "in [0, 1]"),
+        ("utilization", lambda v: 0 < v <= 1, "in (0, 1]"),
+        ("update_interval", lambda v: v > 0, "> 0"),
+    )
+    for name, ok, bound in bounds:
+        value = getattr(args, name, None)
+        if value is not None and not ok(value):
+            flag = "--" + name.replace("_", "-")
+            return f"{flag} must be {bound}, got {value:g}"
     return None
 
 
 def _cmd_generate(args) -> int:
-    bad = _bad_sizes(args)
+    bad = _bad_flags(args)
     if bad:
         return _usage_error(bad)
     if args.kind == "grizzly":
@@ -341,7 +353,7 @@ def _cmd_generate(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    bad = _bad_sizes(args)
+    bad = _bad_flags(args)
     if bad:
         return _usage_error(bad)
     if args.workload:
@@ -432,7 +444,7 @@ def _whatif_perturbation(args):
 def _cmd_whatif(args) -> int:
     from .whatif import WhatIf
 
-    bad = _bad_sizes(args)
+    bad = _bad_flags(args)
     if bad:
         return _usage_error(bad)
     if args.at < 0:

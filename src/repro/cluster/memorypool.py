@@ -6,14 +6,18 @@ al., §2.1) borrows from the nodes with the most free memory; a
 round-robin alternative is provided as an ablation
 (`DESIGN.md §5`).
 
-The *most-free* orderings are served from a :class:`SortedFreeIndex`: a
+The static policy's node selection and :meth:`MemoryPool.split_borrow`
+read their *most-free* orderings from a :class:`SortedFreeIndex`: a
 lazily maintained sorted view of the cluster's free-DRAM ledger, rebuilt
 only when the cluster's generation stamp moved and — for small deltas —
 repaired in place from the cluster's free-change log instead of re-sorting
 all nodes.  The index orders are bit-compatible with the previous
 per-request ``np.argsort`` calls (descending free / ascending node id, and
 the ascending variant used by best-fit node selection), so plans are
-byte-identical to the unindexed path.
+byte-identical to the unindexed path.  :meth:`MemoryPool.plan_borrow`,
+called once per borrowing node by the dynamic Actuator, picks the same
+lenders by ``argmax`` over a free vector instead, so planning against a
+job's not-yet-committed ops needs no index sync.
 """
 
 from __future__ import annotations
@@ -305,9 +309,9 @@ class MemoryPool:
     def _order(self, free: np.ndarray, near: Optional[int]) -> np.ndarray:
         """Lender visiting order for one request (full per-request sort).
 
-        Kept as the brute-force reference: the most-free path now reads
-        :attr:`free_index` instead (see :meth:`_most_free_order`), and the
-        parity tests patch this method back in to prove byte-identity.
+        ``nearest`` and ``round-robin`` plans walk this order.  For
+        ``most-free`` it is the brute-force reference that the argmax
+        loop of :meth:`plan_borrow` reproduces exactly.
         """
         if self.strategy == NEAREST and near is not None:
             hops = self.cluster.distance_row(near)
@@ -319,18 +323,6 @@ class MemoryPool:
             self._rr_cursor = (self._rr_cursor + 1) % n
             return order
         return np.argsort(-free, kind="stable")
-
-    def _most_free_order(self, near: Optional[int]) -> np.ndarray:
-        """Lender order against the *live* cluster ledger.
-
-        For the most-free strategy this is the maintained index (excluded
-        or exhausted nodes are skipped by the callers, which preserves
-        the relative order the full sort would produce).  The nearest and
-        round-robin strategies keep their per-request orderings.
-        """
-        if self.strategy == MOST_FREE:
-            return self.free_index.nodes_in_order()
-        return self._order(np.asarray(self.cluster.free_local()), near)
 
     # ------------------------------------------------------------------
     def available_mb(self, exclude: Iterable[int] = ()) -> int:
@@ -346,23 +338,35 @@ class MemoryPool:
         amount_mb: int,
         exclude: Sequence[int] = (),
         near: Optional[int] = None,
+        free: Optional[np.ndarray] = None,
     ) -> Optional[List[Tuple[int, int]]]:
         """Plan lenders for ``amount_mb``, or ``None`` if infeasible.
 
         Returns ``[(lender node, MB), ...]`` without mutating any state;
-        the caller commits via :meth:`Cluster.apply` / ``add_remote``.
+        the caller commits via :meth:`Cluster.apply` / ``resize``.
         Nodes in ``exclude`` (normally the requesting compute node) never
         lend to the request.  ``near`` anchors the ``nearest`` strategy.
+        ``free`` plans against a scratch free vector (one that reflects
+        a caller's not-yet-committed ops); the default is the live
+        ledger.
+
+        ``most-free`` picks lenders by repeated ``argmax`` over a copy
+        of the vector with excluded and used nodes zeroed: ``argmax``
+        returns the first maximum, so lenders come in (free desc, node
+        asc) order, exactly the sorted-free index order, without
+        syncing the index.
         """
         if amount_mb < 0:
             raise ValueError(f"negative borrow amount {amount_mb}")
         if amount_mb == 0:
             return []
-        free = self.cluster.free_local()
+        if free is None:
+            free = self.cluster.free_local()
+            free_total = self.cluster.free_local_total
+        else:
+            free_total = int(free.sum())
         excluded = {int(node) for node in exclude}
-        lendable = self.cluster.free_local_total - sum(
-            int(free[node]) for node in excluded
-        )
+        lendable = free_total - sum(int(free[node]) for node in excluded)
         if lendable < amount_mb:
             if self.provenance.enabled:
                 self.provenance.emit(
@@ -370,28 +374,39 @@ class MemoryPool:
                     lendable_mb=lendable, excluded=sorted(excluded),
                 )
             return None
-        order = self._most_free_order(near)
         plan: List[Tuple[int, int]] = []
         remaining = amount_mb
-        for node in order:
-            node = int(node)
-            if node in excluded:
-                continue
-            avail = int(free[node])
-            if avail <= 0:
-                continue
-            take = min(avail, remaining)
-            plan.append((node, take))
-            remaining -= take
-            if remaining == 0:
-                if self.provenance.enabled:
-                    self.provenance.emit(
-                        "borrow_plan", amount_mb=amount_mb, near=near,
-                        excluded=sorted(excluded),
-                        lenders=[[n, mb] for n, mb in plan],
-                    )
-                return plan
-        return None  # pragma: no cover - guarded by the sum check above
+        if self.strategy == MOST_FREE:
+            left = np.array(free)
+            for node in excluded:
+                left[node] = 0
+            while remaining:
+                node = int(left.argmax())
+                take = min(int(left[node]), remaining)
+                if take <= 0:
+                    return None  # pragma: no cover - guarded by the sum check
+                plan.append((node, take))
+                remaining -= take
+                left[node] = 0
+        else:
+            for node in self._order(free, near).tolist():
+                avail = int(free[node])
+                if node in excluded or avail <= 0:
+                    continue
+                take = min(avail, remaining)
+                plan.append((node, take))
+                remaining -= take
+                if remaining == 0:
+                    break
+            else:
+                return None  # pragma: no cover - guarded by the sum check
+        if self.provenance.enabled:
+            self.provenance.emit(
+                "borrow_plan", amount_mb=amount_mb, near=near,
+                excluded=sorted(excluded),
+                lenders=[[n, mb] for n, mb in plan],
+            )
+        return plan
 
     def split_borrow(
         self,

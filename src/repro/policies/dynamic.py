@@ -261,88 +261,70 @@ class DynamicDisaggregatedPolicy(StaticDisaggregatedPolicy):
 
     def _actuate(self, jid: int, alloc: JobAllocation, nodes: np.ndarray,
                  deltas: np.ndarray, out: UpdateOutcome) -> None:
-        """Actuator: apply one job's decided resizes, in node order.
+        """Actuator: plan one job's decided resizes, then commit them.
 
-        When no shrinking node holds remote memory and every grow fits
-        the node's free DRAM, the job's resizes are purely local and go
-        through one bulk funnel.  Otherwise the per-node path runs, which
-        borrows through the pool one node at a time (a borrow may lend
-        from the job's own later nodes).  The job's window runs under
-        ``defer_demand`` so the per-mutation demand notifications
-        collapse into one flush — the contention model reprices after
-        the tick, so nothing reads lender demand mid-window.
+        The plan walks the nodes in order on a scratch copy of the free
+        vector.  A shrink releases remote memory first, from the
+        most-loaded lender, then local memory; a grow takes local memory
+        first and borrows the rest through the pool.  Any node but the
+        grower may lend, including the job's own later nodes and lenders
+        that its earlier nodes just released.  A grow the pool cannot
+        cover is an OOM; the ops planned before it still commit.  The
+        commit is one :meth:`Cluster.resize`, under ``defer_demand`` so
+        its demand notification fires as one sorted flush.
         """
         c = self.cluster
-        grows = deltas > 0
+        free = c.free_local().copy()
+        ops: List[Tuple[int, int, int]] = []
+        synced = 0  # ``free`` reflects every remote op and ops[:synced]
+        for node, delta in zip(nodes.tolist(), deltas.tolist()):
+            if delta < 0:
+                excess = -delta
+                remote_map = alloc.remote_mb.get(node)
+                if remote_map:
+                    # Most-loaded lenders first, so memory nodes recover
+                    # their ability to start jobs sooner.
+                    for lender in sorted(remote_map,
+                                         key=lambda l: -remote_map[l]):
+                        give = min(remote_map[lender], excess)
+                        ops.append((node, lender, -give))
+                        free[lender] += give
+                        excess -= give
+                        if excess == 0:
+                            break
+                give = min(alloc.local_mb.get(node, 0), excess)
+                if give > 0:
+                    ops.append((node, -1, -give))
+                continue
+            take = min(free.item(node), delta)
+            if take > 0:
+                ops.append((node, -1, take))
+            if take == delta:
+                continue
+            # A local op changes only its own node's free DRAM, which
+            # matters from here on only as a lender's: sync them now.
+            for n, lender, mb in ops[synced:]:
+                if lender < 0:
+                    free[n] -= mb
+            synced = len(ops)
+            lenders = self.pool.plan_borrow(
+                delta - take, exclude=[node], near=node, free=free)
+            if lenders is None:
+                out.oom = True
+                break
+            for lender, mb in lenders:
+                ops.append((node, lender, mb))
+                free[lender] -= mb
+            synced = len(ops)
+        grown = freed = 0
+        for _, _, mb in ops:
+            if mb > 0:
+                grown += mb
+            else:
+                freed -= mb
+        out.grown_mb, out.freed_mb = grown, freed
         with c.defer_demand():
-            if (not c.remote_held_mb[nodes[~grows]].any()
-                    and (deltas[grows] <= c.free_local()[nodes[grows]]).all()):
-                c.resize_local_many(jid, nodes, deltas, alloc=alloc)
-                out.grown_mb = int(deltas[grows].sum())
-                out.freed_mb = -int(deltas[~grows].sum())
-                out.touched_nodes = nodes.tolist()
-                return
-            for node, delta in zip(nodes.tolist(), deltas.tolist()):
-                if delta < 0:
-                    self._shrink(jid, alloc, node, -delta, out)
-                elif not self._grow(jid, alloc, node, delta, out):
-                    out.oom = True
-                    return
-
-    # ------------------------------------------------------------------
-    def _shrink(
-        self, jid: int, alloc: JobAllocation, node: int, excess: int, out: UpdateOutcome
-    ) -> None:
-        """Release ``excess`` MB on ``node``: remote first, then local."""
-        c = self.cluster
-        remote_map = alloc.remote_mb.get(node)
-        if remote_map:
-            # Release from the most-loaded lenders first so memory nodes
-            # recover their ability to start jobs sooner.
-            for lender in sorted(remote_map, key=lambda l: -remote_map[l]):
-                if excess <= 0:
-                    break
-                give = min(remote_map[lender], excess)
-                c.remove_remote(jid, node, lender, give, alloc=alloc)
-                out.freed_mb += give
-                out.touched_nodes.append(lender)
-                excess -= give
-        if excess > 0:
-            local = alloc.local_mb.get(node, 0)
-            give = min(local, excess)
-            if give > 0:
-                c.shrink_local(jid, node, give, alloc=alloc)
-                out.freed_mb += give
-                out.touched_nodes.append(node)
-
-    def _grow(
-        self, jid: int, alloc: JobAllocation, node: int, deficit: int, out: UpdateOutcome
-    ) -> bool:
-        """Acquire ``deficit`` MB on ``node``: local first, then remote.
-
-        Returns ``False`` when the pool cannot cover the remainder (OOM).
-        """
-        c = self.cluster
-        free_local = int(
-            c.capacity_mb[node] - c.local_used_mb[node] - c.lent_mb[node]
-        )
-        take = min(free_local, deficit)
-        if take > 0:
-            c.grow_local(jid, node, take, alloc=alloc)
-            out.grown_mb += take
-            out.touched_nodes.append(node)
-            deficit -= take
-        if deficit == 0:
-            return True
-        # Any node but this one may lend — including the job's own nodes.
-        plan = self.pool.plan_borrow(deficit, exclude=[node], near=node)
-        if plan is None:
-            return False
-        for lender, mb in plan:
-            c.add_remote(jid, node, lender, mb, alloc=alloc)
-            out.grown_mb += mb
-            out.touched_nodes.append(lender)
-        return True
+            out.touched_nodes = c.resize(jid, ops, alloc=alloc)
 
 
 class _TickLayout:

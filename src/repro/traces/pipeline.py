@@ -80,6 +80,13 @@ def _sample_memory_peaks(
     return peaks
 
 
+def _check_overestimation(overestimation: float) -> None:
+    """Requests are ``peak * (1 + overestimation)``: a negative factor
+    would ask for less than the job uses (or for negative memory)."""
+    if not overestimation >= 0:
+        raise TraceError(f"negative overestimation {overestimation}")
+
+
 def synthetic_workload(
     n_jobs: int,
     frac_large: float = 0.25,
@@ -102,6 +109,7 @@ def synthetic_workload(
     """
     if node_imbalance < 0:
         raise TraceError(f"negative node_imbalance {node_imbalance}")
+    _check_overestimation(overestimation)
     if n_jobs <= 0:
         raise TraceError(f"n_jobs must be positive, got {n_jobs}")
     if max_job_nodes is None:
@@ -202,6 +210,7 @@ def grizzly_workload(
     ``scale_jobs`` optionally subsamples the week to a given job count
     (with proportional load), the reduced-scale knob used by fast runs.
     """
+    _check_overestimation(overestimation)
     rng = ensure_rng(seed)
     r_week, r_arr, r_est = spawn(rng, 3)
     if week is None:

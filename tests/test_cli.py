@@ -364,6 +364,24 @@ def test_campaign_telemetry_flag_and_eta(tmp_path, capsys):
     (["whatif", "--add-memnodes", "0"], "n_nodes must be >= 1, got 0"),
     (["whatif", "--add-memnodes", "2", "--extra-mb", "0"],
      "extra_mb_per_node must be >= 1, got 0"),
+    (["generate", "--overestimation", "-1", "--out", "x.json"],
+     "--overestimation must be >= 0, got -1"),
+    (["generate", "--kind", "grizzly", "--overestimation", "-2",
+      "--out", "x.json"], "--overestimation must be >= 0, got -2"),
+    (["simulate", "--overestimation", "-0.5"],
+     "--overestimation must be >= 0, got -0.5"),
+    (["whatif", "--overestimation", "nan", "--swap-policy", "static"],
+     "--overestimation must be >= 0, got nan"),
+    (["simulate", "--frac-large", "1.5"],
+     "--frac-large must be in [0, 1], got 1.5"),
+    (["generate", "--frac-large", "-0.1", "--out", "x.json"],
+     "--frac-large must be in [0, 1], got -0.1"),
+    (["generate", "--utilization", "0", "--out", "x.json"],
+     "--utilization must be in (0, 1], got 0"),
+    (["simulate", "--update-interval", "0"],
+     "--update-interval must be > 0, got 0"),
+    (["whatif", "--update-interval", "-300", "--swap-policy", "static"],
+     "--update-interval must be > 0, got -300"),
 ])
 def test_boundary_errors_exit_2_with_one_line(argv, needle, capsys):
     assert main(argv) == 2

@@ -7,7 +7,9 @@ from hypothesis import strategies as st
 
 from repro.cluster.allocation import JobAllocation
 from repro.cluster.cluster import Cluster
-from repro.cluster.memorypool import MOST_FREE, NEAREST, ROUND_ROBIN, MemoryPool
+from repro.cluster.memorypool import (
+    MOST_FREE, NEAREST, ROUND_ROBIN, MemoryPool, SortedFreeIndex,
+)
 from repro.core.config import SystemConfig
 from repro.scheduler.backfill import shadow_time
 
@@ -44,6 +46,74 @@ def test_plan_borrow_properties(amount, strategy, exclude, near):
     for lender, mb in plan:
         assert lender not in exclude
         assert 0 < mb <= free[lender]
+
+
+def _walk_order(pool, free, amount, exclude, near):
+    """Brute-force reference: walk ``pool._order(free, near)`` skipping
+    excluded and empty nodes."""
+    lendable = int(free.sum()) - sum(int(free[n]) for n in exclude)
+    if lendable < amount:
+        return None
+    if amount == 0:
+        return []
+    plan, remaining = [], amount
+    for node in pool._order(free, near).tolist():
+        if node in exclude or free[node] <= 0:
+            continue
+        take = min(int(free[node]), remaining)
+        plan.append((node, take))
+        remaining -= take
+        if remaining == 0:
+            return plan
+
+
+@given(
+    # few distinct values, so ties and zero-free nodes are common
+    free=st.lists(st.sampled_from([0, 0, 1, 512, 512, 4096, 65536, 131072])
+                  | st.integers(0, 140_000), min_size=12, max_size=12),
+    amount=st.integers(0, 400_000),
+    strategy=st.sampled_from([MOST_FREE, ROUND_ROBIN, NEAREST]),
+    exclude=st.sets(st.integers(0, 11), max_size=4),
+    near=st.one_of(st.none(), st.integers(0, 11)),
+    cursor=st.integers(0, 11),
+)
+@settings(max_examples=300, deadline=None)
+def test_plan_borrow_on_scratch_vector_equals_order_walk(
+        free, amount, strategy, exclude, near, cursor):
+    """Planning against a scratch free vector equals walking the full
+    per-request order over it; most-free never syncs the sorted index."""
+    cluster = fresh_cluster()
+    pool, ref = (MemoryPool(cluster, strategy=strategy) for _ in range(2))
+    pool._rr_cursor = ref._rr_cursor = cursor
+    vec = np.array(free, dtype=np.int64)
+    before = vec.copy()
+    syncs = []
+    sync = SortedFreeIndex.nodes_in_order
+    SortedFreeIndex.nodes_in_order = lambda idx: syncs.append(1) or sync(idx)
+    try:
+        got = pool.plan_borrow(amount, exclude=sorted(exclude), near=near,
+                               free=vec)
+    finally:
+        SortedFreeIndex.nodes_in_order = sync
+    assert got == _walk_order(ref, vec, amount, exclude, near)
+    assert pool._rr_cursor == ref._rr_cursor
+    assert np.array_equal(vec, before)  # the scratch vector is read-only
+    assert not syncs
+
+
+@given(amount=st.integers(0, 12 * 128 * 1024),
+       strategy=st.sampled_from([MOST_FREE, ROUND_ROBIN, NEAREST]),
+       exclude=st.sets(st.integers(0, 11), max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_plan_borrow_defaults_to_the_live_ledger(amount, strategy, exclude):
+    cluster = fresh_cluster()
+    cluster.apply(0, JobAllocation(nodes=[3, 4], local_mb={3: 9_000, 4: 1},
+                                   remote_mb={3: {0: 70_000}}))
+    live, scratch = (MemoryPool(cluster, strategy=strategy) for _ in range(2))
+    free = np.asarray(cluster.free_local()).copy()
+    assert live.plan_borrow(amount, exclude=sorted(exclude), near=3) == \
+        scratch.plan_borrow(amount, exclude=sorted(exclude), near=3,
+                            free=free)
 
 
 @given(

@@ -124,3 +124,15 @@ class TestUsageShapes:
         t = spike_usage(rng, peak_mb=10000, duration=1000.0)
         assert t.peak() == 10000
         assert t.mean(1000.0) < 0.6 * t.peak()
+
+
+@pytest.mark.parametrize("overestimation", [-0.01, -1.0, -2.0, float("nan")])
+def test_workload_builders_reject_negative_overestimation(overestimation):
+    """A negative factor would request less than the job uses (or less
+    than nothing); both builders reject it before generating."""
+    with pytest.raises(TraceError, match="negative overestimation"):
+        synthetic_workload(n_jobs=5, n_system_nodes=16,
+                           overestimation=overestimation, seed=0)
+    with pytest.raises(TraceError, match="negative overestimation"):
+        grizzly_workload(overestimation=overestimation, n_system_nodes=16,
+                         scale_jobs=5, seed=0)

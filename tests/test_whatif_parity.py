@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.cluster import Cluster
 from repro.core.config import SystemConfig
 from repro.core.errors import SimulationError
 from repro.core.events import EventKind, EventQueue
@@ -249,6 +250,66 @@ def test_serializers_resume_from_an_encoded_prefix():
     full = event_log_jsonl(log)
     k = len(log) // 3
     assert event_log_jsonl(log, k, lines(full, 0, k)) == full
+
+
+#: Queries asked in a row of one session at memory level 25, where the
+#: suffix borrows, releases and OOM-kills: each restore must roll back
+#: the lender and compute-node rows that the previous query's remote ops
+#: wrote.
+_BORROWING_QUERIES = (
+    SubmitJob(n_nodes=16, base_runtime=3600.0, mem_request_mb=65536),
+    AddMemNodes(n_nodes=4, extra_mb_per_node=65536),
+    SwapPolicy("static"),
+    SubmitJob(n_nodes=4, base_runtime=900.0, mem_request_mb=16384),
+)
+
+
+def _oom_kills(telemetry):
+    counter = telemetry.registry.counters.get("oom_kills")
+    return counter.value if counter else 0
+
+
+def test_borrowing_session_matches_fresh_runs(monkeypatch):
+    # One-node COW pages: a row written without its own touch cannot
+    # hide behind a neighbour's touch on the same page.
+    arm_cow = Cluster.arm_cow
+    monkeypatch.setattr(Cluster, "arm_cow",
+                        lambda cluster, page_nodes=None: arm_cow(cluster, 1))
+    config = SystemConfig.from_memory_level(25, n_nodes=256)
+    wl = synthetic_workload(n_jobs=200, frac_large=0.5, n_system_nodes=256,
+                            seed=1)
+    base = simulate(wl.fresh_jobs(), config, policy="dynamic",
+                    profiles=wl.profiles)
+    at = 0.1 * base.makespan
+    session = WhatIf(wl.fresh_jobs(), config, policy="dynamic", at=at,
+                     profiles=wl.profiles)
+    remote_ops = {"borrow": 0, "release": 0}
+    resize = Cluster.resize
+
+    def counting_resize(cluster, jid, ops, alloc=None):
+        for _, lender, mb in ops:
+            if lender >= 0:
+                remote_ops["borrow" if mb > 0 else "release"] += 1
+        return resize(cluster, jid, ops, alloc)
+
+    kills = 0
+    for pert in _BORROWING_QUERIES:
+        forked = session.query(pert, use_cache=False).result
+        telemetry = Telemetry()
+        handle = build_simulation(wl.fresh_jobs(), config, policy="dynamic",
+                                  profiles=wl.profiles, telemetry=telemetry)
+        handle.run_until(at, inclusive=False)
+        kills -= _oom_kills(telemetry)
+        pert.apply(handle)
+        monkeypatch.setattr(Cluster, "resize", counting_resize)
+        fresh = handle.finish()
+        monkeypatch.setattr(Cluster, "resize", resize)
+        kills += _oom_kills(telemetry)
+        assert forked.records == fresh.records, pert.key()
+        assert forked.summary() == fresh.summary(), pert.key()
+    # The suffixes really exercised the pool.
+    assert remote_ops["borrow"] > 0 and remote_ops["release"] > 0
+    assert kills > 0
 
 
 def test_golden_large_cluster_parity():
