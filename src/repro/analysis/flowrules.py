@@ -709,10 +709,11 @@ LEDGER_FIELDS = frozenset(
 #: in-place element write must pass through a generation-log sink.
 FREE_VECTOR_FIELDS = frozenset({"local_used_mb", "lent_mb", "_free_local"})
 #: Methods that append to the free-DRAM delta log and advance the
-#: generation stamp — the scalar sink and its columnar bulk twin.  The
-#: columnar mutators (``_touch_*_many``) fancy-index whole node batches
-#: and log through the bulk sink; both satisfy INV102.
-GENERATION_LOG_SINKS = frozenset({"_log_free", "_log_free_many"})
+#: generation stamp (the column write funnel logs through it).
+GENERATION_LOG_SINKS = frozenset({"_log_free_many"})
+#: The column write funnel; its second argument (or ``lent=``) carries
+#: lending deltas, and INV103 holds its callers to notifying demand.
+COLUMN_WRITE_FUNNEL = "_write_columns"
 #: Generic names also used outside ledger classes; only flagged when the
 #: written object's type resolves to a ledger-owning class.
 _AMBIGUOUS_FIELDS = frozenset({"busy", "generation", "allocations"})
@@ -827,8 +828,8 @@ class FreeVectorLogRule(ProjectRule):
     Inside the owning class, any element write to ``local_used_mb``,
     ``lent_mb`` or ``_free_local`` — scalar or fancy-indexed over a node
     batch — must (transitively) reach a generation-log sink
-    (``_log_free`` or its columnar bulk twin ``_log_free_many``) so the
-    generation stamp advances and incremental consumers see the change.
+    (``_log_free_many``) so the generation stamp advances and
+    incremental consumers see the change.
     """
 
     id = "INV102"
@@ -866,7 +867,7 @@ class FreeVectorLogRule(ProjectRule):
                     yield _finding(
                         self, method, stmt,
                         f"'{method.name}' writes a free-vector element but "
-                        "never reaches _log_free/_log_free_many; the "
+                        "never reaches _log_free_many; the "
                         "generation stamp and delta log go stale for "
                         "incremental consumers",
                     )
@@ -877,7 +878,8 @@ class LenderNotifyRule(ProjectRule):
     """INV103: lender-ledger mutations must notify demand listeners.
 
     Inside the owning class, any method that changes lending state
-    (calls ``_touch_lent`` or writes ``lender_jobs`` entries) must
+    (writes ``lent_mb`` or ``lender_jobs`` entries, or passes a ``lent``
+    argument other than a literal ``{}`` to ``_write_columns``) must
     (transitively) call ``_notify_demand`` so attached listeners
     (contention model, telemetry) reprice the affected lenders.
     """
@@ -890,7 +892,7 @@ class LenderNotifyRule(ProjectRule):
         for qname in sorted(owners):
             cls = project.classes[qname]
             for method in cls.methods.values():
-                if method.name in ("_touch_lent", "_notify_demand"):
+                if method.name in (COLUMN_WRITE_FUNNEL, "_notify_demand"):
                     continue  # the funnel helpers themselves
                 if not self._mutates_lending(method):
                     continue
@@ -911,19 +913,31 @@ class LenderNotifyRule(ProjectRule):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "_touch_lent"
+                and node.func.attr == COLUMN_WRITE_FUNNEL
+                and _passes_lending(node)
             ):
                 return True
             if isinstance(node, ast.stmt):
                 for base, attr, sub in _attr_store_targets(node):
                     if (
                         sub
-                        and attr == "lender_jobs"
+                        and attr in ("lent_mb", "lender_jobs")
                         and isinstance(base, ast.Name)
                         and base.id == "self"
                     ):
                         return True
         return False
+
+
+def _passes_lending(call: ast.Call) -> bool:
+    """Whether a ``_write_columns`` call may carry lending deltas: its
+    ``lent`` argument is anything but a literal empty dict."""
+    lent = call.args[1] if len(call.args) > 1 else None
+    for kw in call.keywords:
+        if kw.arg in ("lent", None):  # lent= or **kwargs
+            lent = kw.value
+    empty = isinstance(lent, ast.Dict) and not lent.keys
+    return lent is not None and not empty
 
 
 #: Ledger state whose mutations the provenance layer must be able to
@@ -937,9 +951,7 @@ PROVENANCE_OBSERVED_FIELDS = frozenset({"remote_held_mb", "allocations"})
 #: sinks every tapped mutator funnels through.  A mutator reaching none
 #: of them changes state that no provenance tap, listener, or
 #: incremental consumer will ever see.
-PROVENANCE_SINKS = frozenset(
-    {"_notify_demand", "_log_free", "_log_free_many"}
-)
+PROVENANCE_SINKS = frozenset({"_notify_demand", "_log_free_many"})
 
 
 @register
@@ -993,7 +1005,7 @@ class ProvenanceTapRule(ProjectRule):
                         self, method, stmt,
                         f"'{method.name}' mutates provenance-observed "
                         "ledger state but never reaches "
-                        "_notify_demand/_log_free/_log_free_many; the "
+                        "_notify_demand/_log_free_many; the "
                         "provenance taps, contention repricer and run "
                         "diffs go blind to this mutation",
                     )

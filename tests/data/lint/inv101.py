@@ -7,15 +7,15 @@ class MiniCluster:
         self.lent_mb = [0, 0]
         self.generation = 0
 
-    def _log_free(self, node):
-        self.generation += 1
+    def _log_free_many(self, nodes):
+        self.generation += len(nodes)
 
     def _notify_demand(self, lenders):
         pass
 
     def lend(self, node, mb):
         self.lent_mb[node] += mb
-        self._log_free(node)
+        self._log_free_many([node])
         self._notify_demand([node])
 
     def check_invariants(self):

@@ -7,8 +7,8 @@ class MiniLedger:
         self.local_used_mb = [0] * n
         self.generation = 0
 
-    def _log_free(self, node):
-        self.generation += 1
+    def _log_free_many(self, nodes):
+        self.generation += len(nodes)
 
     def silent_touch(self, node, mb):
         self.local_used_mb[node] += mb  # EXPECT: INV102
@@ -18,7 +18,7 @@ class MiniLedger:
 
     def logged_touch(self, node, mb):
         self.local_used_mb[node] += mb
-        self._log_free(node)
+        self._log_free_many([node])
 
     def check_invariants(self):
         pass

@@ -10,7 +10,7 @@ class MiniLedger:
     def _notify_demand(self, lenders):
         pass
 
-    def _log_free(self, node):
+    def _log_free_many(self, nodes):
         pass
 
     def silent_hold(self, node, mb):
@@ -25,7 +25,7 @@ class MiniLedger:
 
     def logged_commit(self, jid, alloc, node):
         self.allocations[jid] = alloc
-        self._log_free(node)
+        self._log_free_many([node])
 
     def check_invariants(self):
         pass

@@ -1,5 +1,7 @@
 """Cross-module tests for the deep flow rules (repro.analysis.flowrules)."""
 
+import pytest
+
 from repro.analysis import lint_project_sources
 
 
@@ -190,15 +192,15 @@ _OWNER_MODULE = (
     "        self.generation = 0\n"
     "        self.lender_jobs = [dict() for _ in range(n)]\n"
     "\n"
-    "    def _log_free(self, node):\n"
-    "        self.generation += 1\n"
+    "    def _log_free_many(self, nodes):\n"
+    "        self.generation += len(nodes)\n"
     "\n"
     "    def _notify_demand(self, lenders):\n"
     "        pass\n"
     "\n"
     "    def lend(self, node, mb):\n"
     "        self.lent_mb[node] += mb\n"
-    "        self._log_free(node)\n"
+    "        self._log_free_many([node])\n"
     "        self._notify_demand([node])\n"
     "\n"
     "    def check_invariants(self):\n"
@@ -242,8 +244,8 @@ def test_inv102_silent_free_vector_write():
             "        self.local_used_mb = [0] * n\n"
             "        self.generation = 0\n"
             "\n"
-            "    def _log_free(self, node):\n"
-            "        self.generation += 1\n"
+            "    def _log_free_many(self, nodes):\n"
+            "        self.generation += len(nodes)\n"
             "\n"
             "    def silent(self, node, mb):\n"
             "        self.local_used_mb[node] += mb\n"
@@ -276,7 +278,7 @@ def test_inv101_flags_columnar_remote_held_poke():
 
 def test_inv102_bulk_sink_is_clean():
     """Fancy-indexed column writes that log through _log_free_many (the
-    columnar bulk sink) satisfy INV102 like the scalar _log_free path."""
+    columnar bulk sink) satisfy INV102."""
     sources = {
         "repro/cluster/led.py": (
             "class Led:\n"
@@ -337,6 +339,57 @@ def test_inv103_silent_lender_write():
         ),
     }
     assert len(findings_for(sources, "INV103")) == 1
+
+
+_FUNNEL_MODULE = (
+    "class Led:\n"
+    "    def __init__(self, n):\n"
+    "        self.lent_mb = [0] * n\n"
+    "        self.local_used_mb = [0] * n\n"
+    "\n"
+    "    def _notify_demand(self, lenders):\n"
+    "        pass\n"
+    "\n"
+    "    def _log_free_many(self, nodes):\n"
+    "        pass\n"
+    "\n"
+    "    def _write_columns(self, local, lent, held, logged):\n"
+    "        for n, d in lent.items():\n"
+    "            self.lent_mb[n] += d\n"
+    "        for n, d in local.items():\n"
+    "            self.local_used_mb[n] += d\n"
+    "        self._log_free_many(logged)\n"
+    "\n"
+    "{body}"
+    "\n"
+    "    def check_invariants(self):\n"
+    "        pass\n"
+)
+
+
+@pytest.mark.parametrize("body, hits", [
+    # Lending deltas through the funnel, positionally or by keyword.
+    ("    def lend(self, n, d):\n"
+     "        self._write_columns({}, {n: d}, {}, [n])\n", 1),
+    ("    def lend(self, n, d, lent):\n"
+     "        self._write_columns({}, lent=lent, held={}, logged=[n])\n", 1),
+    # Lending deltas with the notify (directly or transitively): clean.
+    ("    def lend(self, n, d):\n"
+     "        self._write_columns({}, {n: d}, {}, [n])\n"
+     "        self._notify_demand([n])\n", 0),
+    # A literal empty lending dict is a local-only write: clean.
+    ("    def grow(self, n, d):\n"
+     "        self._write_columns({n: d}, {}, {}, [n])\n", 0),
+    # A direct lent_mb element write outside the funnel.
+    ("    def poke(self, n, d):\n"
+     "        self.lent_mb[n] += d\n"
+     "        self._log_free_many([n])\n", 1),
+])
+def test_inv103_column_funnel_lending(body, hits):
+    """Lending that flows through the column write funnel must reach
+    _notify_demand in the caller; the funnel itself is exempt."""
+    sources = {"repro/cluster/led.py": _FUNNEL_MODULE.format(body=body)}
+    assert len(findings_for(sources, "INV103")) == hits
 
 
 def test_inv104_untapped_remote_write_fires():
